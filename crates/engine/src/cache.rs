@@ -22,7 +22,20 @@
 //! makes the storage layer's warm-start file bit-identical for any shard
 //! count — a warm file written at 8 shards boots a 1-shard server
 //! identically, and vice versa.
+//!
+//! ### Slot memos
+//!
+//! Each resident slot also memoizes two pure functions of its entry: the
+//! exact `VOL_I` answer (Theorem 3 makes it a function of the
+//! quantifier-free form alone) and the slot's rendered warm-file record.
+//! The memos are not charged to the byte budget — the ledger stays a
+//! function of the entries alone, so eviction order is unchanged — and
+//! they are dropped with the slot. Every memo write names the `Arc` it
+//! was computed from and is ignored unless that `Arc` is still the
+//! resident entry, so a slot replaced by a concurrent double miss never
+//! inherits a value computed from its predecessor.
 
+use cqa_arith::Rat;
 use cqa_logic::{CompiledMatrix, ConstraintClass, Formula};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -152,6 +165,16 @@ pub enum WarmSlot {
     Subplan(CacheKey, Arc<SubplanEntry>),
 }
 
+impl WarmSlot {
+    /// The deterministic export order: queries before subplans, then by key.
+    fn order(&self) -> (u8, u128, u32) {
+        match self {
+            WarmSlot::Query(k, _) => (0, k.hash, k.dim),
+            WarmSlot::Subplan(k, _) => (1, k.hash, k.dim),
+        }
+    }
+}
+
 impl Stored {
     fn bytes(&self) -> usize {
         match self {
@@ -159,11 +182,48 @@ impl Stored {
             Stored::Subplan(e) => e.bytes,
         }
     }
+
+    /// Whether `slot` exports this very entry (pointer identity, not
+    /// structural equality: a replacement is a different entry).
+    fn is(&self, slot: &WarmSlot) -> bool {
+        match (self, slot) {
+            (Stored::Query(a), WarmSlot::Query(_, b)) => Arc::ptr_eq(a, b),
+            (Stored::Subplan(a), WarmSlot::Subplan(_, b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
 }
+
+/// An exact answer memo: the `VOL_I` value and the integrator steps it
+/// took, so a memo hit renders the same header a fresh integration would.
+pub(crate) type ExactMemo = (Rat, u64);
 
 struct Slot {
     entry: Stored,
     last_used: u64,
+    /// Memoized exact answer (query slots only; see the module docs).
+    exact: Option<ExactMemo>,
+    /// Memoized warm-file record of this slot.
+    record: Option<Arc<str>>,
+}
+
+impl Slot {
+    /// This slot, exported under `key`.
+    fn export(&self, key: CacheKey) -> WarmSlot {
+        match &self.entry {
+            Stored::Query(e) => WarmSlot::Query(key, Arc::clone(e)),
+            Stored::Subplan(e) => WarmSlot::Subplan(key, Arc::clone(e)),
+        }
+    }
+}
+
+/// A whole-query cache hit: the entry plus its memoized exact answer, if
+/// one has been recorded.
+pub(crate) struct CacheHit {
+    /// The resident entry.
+    pub(crate) entry: Arc<CacheEntry>,
+    /// `Some` once a successful exact integration of `entry` was memoized.
+    pub(crate) exact: Option<ExactMemo>,
 }
 
 struct Inner {
@@ -322,6 +382,11 @@ impl QueryCache {
 
     /// Looks up a whole-query entry, refreshing its recency on a hit.
     pub fn get(&self, key: CacheKey) -> Option<Arc<CacheEntry>> {
+        self.lookup(key).map(|hit| hit.entry)
+    }
+
+    /// [`Self::get`], plus the slot's memoized exact answer.
+    pub(crate) fn lookup(&self, key: CacheKey) -> Option<CacheHit> {
         let full = FullKey {
             key,
             kind: SlotKind::Query,
@@ -335,7 +400,10 @@ impl QueryCache {
                 slot.last_used = clock;
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 match &slot.entry {
-                    Stored::Query(e) => Some(Arc::clone(e)),
+                    Stored::Query(e) => Some(CacheHit {
+                        entry: Arc::clone(e),
+                        exact: slot.exact.clone(),
+                    }),
                     Stored::Subplan(_) => unreachable!("kind is part of the key"),
                 }
             }
@@ -343,6 +411,30 @@ impl QueryCache {
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 None
             }
+        }
+    }
+
+    /// Memoizes the exact answer of `entry`, resident under `key`. Ignored
+    /// (returns `false`) when the slot is gone or now holds a different
+    /// entry. Recency and counters are untouched: this is not a lookup.
+    pub(crate) fn memoize_exact(
+        &self,
+        key: CacheKey,
+        entry: &Arc<CacheEntry>,
+        memo: ExactMemo,
+    ) -> bool {
+        let full = FullKey {
+            key,
+            kind: SlotKind::Query,
+        };
+        let shard = self.shard_for(key);
+        let mut inner = Self::lock(shard, &self.poison_recoveries);
+        match inner.map.get_mut(&full) {
+            Some(slot) if matches!(&slot.entry, Stored::Query(e) if Arc::ptr_eq(e, entry)) => {
+                slot.exact = Some(memo);
+                true
+            }
+            _ => false,
         }
     }
 
@@ -431,6 +523,8 @@ impl QueryCache {
             Slot {
                 entry: stored,
                 last_used: clock,
+                exact: None,
+                record: None,
             },
         );
         while inner.bytes > shard.byte_budget && inner.map.len() > 1 {
@@ -487,16 +581,55 @@ impl QueryCache {
         let mut slots: Vec<WarmSlot> = Vec::new();
         for shard in &self.shards {
             let inner = Self::lock(shard, &self.poison_recoveries);
-            slots.extend(inner.map.iter().map(|(full, slot)| match &slot.entry {
-                Stored::Query(e) => WarmSlot::Query(full.key, Arc::clone(e)),
-                Stored::Subplan(e) => WarmSlot::Subplan(full.key, Arc::clone(e)),
-            }));
+            slots.extend(inner.map.iter().map(|(full, slot)| slot.export(full.key)));
         }
-        slots.sort_by_key(|s| match s {
-            WarmSlot::Query(k, _) => (0u8, k.hash, k.dim),
-            WarmSlot::Subplan(k, _) => (1u8, k.hash, k.dim),
-        });
+        slots.sort_by_key(WarmSlot::order);
         slots
+    }
+
+    /// Every resident slot's warm-file record, in [`Self::export`] order.
+    /// A slot's record is rendered by `render` once and memoized in the
+    /// slot; later calls reuse it. Rendering runs with no shard lock held,
+    /// and a rendered record is stored back only if its slot still holds
+    /// the entry it was rendered from.
+    pub(crate) fn export_records(&self, render: impl Fn(&WarmSlot) -> String) -> Vec<Arc<str>> {
+        let mut rows: Vec<(WarmSlot, Option<Arc<str>>)> = Vec::new();
+        for shard in &self.shards {
+            let inner = Self::lock(shard, &self.poison_recoveries);
+            rows.extend(
+                inner
+                    .map
+                    .iter()
+                    .map(|(full, slot)| (slot.export(full.key), slot.record.clone())),
+            );
+        }
+        rows.sort_by_key(|(slot, _)| slot.order());
+        rows.into_iter()
+            .map(|(slot, record)| match record {
+                Some(r) => r,
+                None => {
+                    let r: Arc<str> = render(&slot).into();
+                    self.store_record(&slot, &r);
+                    r
+                }
+            })
+            .collect()
+    }
+
+    /// Memoizes `record` in the slot `exported` came from, if that slot
+    /// still holds the same entry.
+    fn store_record(&self, exported: &WarmSlot, record: &Arc<str>) {
+        let (key, kind) = match exported {
+            WarmSlot::Query(k, _) => (*k, SlotKind::Query),
+            WarmSlot::Subplan(k, _) => (*k, SlotKind::Subplan),
+        };
+        let shard = self.shard_for(key);
+        let mut inner = Self::lock(shard, &self.poison_recoveries);
+        if let Some(slot) = inner.map.get_mut(&FullKey { key, kind }) {
+            if slot.entry.is(exported) {
+                slot.record = Some(Arc::clone(record));
+            }
+        }
     }
 }
 
@@ -745,5 +878,37 @@ mod tests {
         assert!(cache.get(key(7)).is_none(), "stale parent was the LRU");
         assert!(cache.get_subplan(key(8)).is_some());
         assert_eq!(cache.snapshot().evictions, 1);
+    }
+
+    #[test]
+    fn replaced_slot_drops_both_memos_and_ignores_stale_writes() {
+        let cache = QueryCache::new(100_000);
+        let renders = std::cell::Cell::new(0usize);
+        let render = |_: &WarmSlot| {
+            renders.set(renders.get() + 1);
+            format!("record {}\n", renders.get())
+        };
+        let old = cache.insert(key(1), entry("x < 1", 100));
+        assert!(cache.memoize_exact(key(1), &old, (Rat::from(1), 7)));
+        assert_eq!(cache.lookup(key(1)).unwrap().exact, Some((Rat::from(1), 7)));
+        let first = cache.export_records(render);
+        assert_eq!(cache.export_records(render), first, "record reused");
+        assert_eq!(renders.get(), 1, "rendered once");
+
+        // A replacement (a concurrent double miss) starts with no memos.
+        let new = cache.insert(key(1), entry("x < 1", 100));
+        assert!(cache.lookup(key(1)).unwrap().exact.is_none());
+        assert_ne!(cache.export_records(render), first, "record re-rendered");
+        assert_eq!(renders.get(), 2);
+
+        // A write that still holds the replaced entry is ignored.
+        assert!(!cache.memoize_exact(key(1), &old, (Rat::from(1), 7)));
+        assert!(cache.lookup(key(1)).unwrap().exact.is_none());
+        assert!(cache.memoize_exact(key(1), &new, (Rat::from(1), 9)));
+        assert_eq!(cache.lookup(key(1)).unwrap().exact, Some((Rat::from(1), 9)));
+
+        // Memos are not charged, and a write to an absent slot is ignored.
+        assert_eq!(cache.snapshot().bytes, 100 + KEY_BYTES);
+        assert!(!cache.memoize_exact(key(2), &new, (Rat::from(1), 9)));
     }
 }

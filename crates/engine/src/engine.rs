@@ -1,6 +1,8 @@
 //! The engine core: session state and command execution.
 
-use crate::cache::{formula_bytes, CacheEntry, CacheKey, QueryCache, DEFAULT_CACHE_SHARDS};
+use crate::cache::{
+    formula_bytes, CacheEntry, CacheHit, CacheKey, QueryCache, DEFAULT_CACHE_SHARDS,
+};
 use crate::protocol::{parse_exec_args, Command, Response};
 use crate::stats::EngineStats;
 use crate::storage::{Storage, StorageError};
@@ -26,6 +28,13 @@ use std::time::{Duration, Instant};
 /// approximate responses are reproducible across requests, sessions and
 /// servers (and bit-identical under any concurrency level).
 pub const MC_SEED: u64 = 0xC0A_5E55;
+
+/// Arena node count above which a session's formula arena and its
+/// simplify and absint memos are dropped after a command. They grow with
+/// every distinct formula the session sees and nothing else shrinks them;
+/// cross-request sharing lives in the engine's cache, so a fresh arena
+/// costs a long-lived session only some re-interning.
+const SESSION_MEMO_NODES: u64 = 1 << 10;
 
 /// Engine configuration (server-wide).
 #[derive(Clone, Debug)]
@@ -215,6 +224,13 @@ impl cqa_qe::plan::SubplanStore for CacheSubplans<'_> {
     }
 }
 
+/// The wire header of an exact `EXEC`/`VOLUME` answer.
+fn exact_response(verb: &str, name: &str, v: &Rat, cache_tag: &str, steps: u64) -> Response {
+    Response::ok(format!(
+        "{verb} {name} status=exact value={v} cache={cache_tag} steps={steps}"
+    ))
+}
+
 /// How an `EXEC`/`VOLUME` answer was produced.
 enum Answer {
     Exact(Rat),
@@ -317,7 +333,25 @@ impl Engine {
         self.stats.latency[kind.index()].record(us);
         self.stats.in_flight.fetch_sub(1, Ordering::Relaxed);
         self.flush_arena_stats(session);
+        if session.arena.stats().nodes > SESSION_MEMO_NODES {
+            self.reset_session_memos(session);
+        }
         resp
+    }
+
+    /// Replaces the session's formula arena and its `FormulaId`-keyed
+    /// simplify and absint memos with fresh ones, after flushing the
+    /// arena's counters into `STATS`. Answers never depend on these memos
+    /// (they are pure caches of per-node work), so a reset at any point
+    /// leaves every later response bit-identical. Public so tests can
+    /// reset mid-sequence; [`Self::dispatch`] resets past a fixed size.
+    #[doc(hidden)]
+    pub fn reset_session_memos(&self, session: &mut Session) {
+        self.flush_arena_stats(session);
+        session.arena = Arena::new();
+        session.simp = SimplifyMemo::default();
+        session.absint = cqa_analyze::AbsintMemo::default();
+        session.reported = session.arena.stats();
     }
 
     /// Adds the session arena's counter growth since the last flush to the
@@ -565,18 +599,9 @@ impl Engine {
         // falls through to the full pipeline below, which re-memoizes.
         if let Some((db_gen, key)) = prep.memo {
             if db_gen == session.db_gen && eps > 0.0 && eps < 1.0 && delta > 0.0 && delta < 1.0 {
-                if let Some(entry) = self.cache.get(key) {
+                if let Some(hit) = self.cache.lookup(key) {
                     let budget = self.request_budget();
-                    return self.eval_entry(
-                        &entry,
-                        key.dim as usize,
-                        eps,
-                        delta,
-                        &budget,
-                        "EXEC",
-                        name,
-                        "hit",
-                    );
+                    return self.eval_entry(key, hit, eps, delta, &budget, "EXEC", name, "hit");
                 }
             }
         }
@@ -704,8 +729,8 @@ impl Engine {
         if let Some(slot) = memo_key {
             *slot = Some(key);
         }
-        let (entry, cache_tag) = match self.cache.get(key) {
-            Some(e) => (Some(e), "hit"),
+        let (hit, cache_tag) = match self.cache.lookup(key) {
+            Some(hit) => (Some(hit), "hit"),
             None => {
                 // Cold path: consult the absint verdict first — a
                 // statically decided query needs no elimination at all,
@@ -858,24 +883,15 @@ impl Engine {
                         // Flushing here (not only at SHUTDOWN) is what
                         // makes warm-start survive a SIGKILL.
                         self.flush_warm();
-                        (Some(entry), "miss")
+                        (Some(CacheHit { entry, exact: None }), "miss")
                     }
                     Err(QeError::Budget(_)) => (None, "miss"),
                     Err(e) => return Response::err("qe", e.to_string()),
                 }
             }
         };
-        match &entry {
-            Some(entry) => self.eval_entry(
-                entry,
-                vars.len(),
-                eps,
-                delta,
-                &budget,
-                verb,
-                name,
-                cache_tag,
-            ),
+        match hit {
+            Some(hit) => self.eval_entry(key, hit, eps, delta, &budget, verb, name, cache_tag),
             // QE itself blew the budget: no quantifier-free form exists to
             // integrate or sample, so decide membership point by point
             // (each ground instance is vastly cheaper than parametric QE).
@@ -892,11 +908,17 @@ impl Engine {
     /// compiled kernel otherwise — and renders the response. Shared by the
     /// full [`Self::answer`] pipeline and the memoized-key `EXEC` fast
     /// path; both must produce bit-identical output for the same entry.
+    ///
+    /// A successful exact integration is memoized in the entry's cache
+    /// slot with the integrator's own step count, and a later hit answers
+    /// from the memo with the header a fresh integration would render (a
+    /// hit's budget is fresh, so its `steps=` is exactly the integrator's).
+    /// Degraded answers are never memoized.
     #[allow(clippy::too_many_arguments)]
     fn eval_entry(
         &self,
-        entry: &Arc<CacheEntry>,
-        dim: usize,
+        key: CacheKey,
+        hit: CacheHit,
         eps: f64,
         delta: f64,
         budget: &EvalBudget,
@@ -904,15 +926,31 @@ impl Engine {
         name: &str,
         cache_tag: &str,
     ) -> Response {
+        let CacheHit { entry, exact } = hit;
+        if let Some((v, steps)) = exact {
+            self.stats.memo_hits.fetch_add(1, Ordering::Relaxed);
+            return exact_response(verb, name, &v, cache_tag, steps);
+        }
+        let dim = key.dim as usize;
         let answer = if entry.class == ConstraintClass::Polynomial {
             // Semi-algebraic output: the exact triangulating integrator
             // does not apply; degrade to MC over the cached kernel.
-            self.mc_over_kernel(entry, dim, eps, delta, "nonlinear")
+            self.mc_over_kernel(&entry, dim, eps, delta, "nonlinear")
         } else {
+            let before = budget.steps();
             match cqa_geom::volume_in_unit_box_with_budget(&entry.qf, &entry.qf_vars, budget) {
-                Ok(v) => Ok(Answer::Exact(v)),
+                Ok(v) => {
+                    let steps = budget.steps() - before;
+                    self.cache.memoize_exact(key, &entry, (v.clone(), steps));
+                    Ok(Answer::Exact(v))
+                }
                 Err(VolumeError::Budget(_)) => {
-                    self.mc_over_kernel(entry, dim, eps, delta, "budget")
+                    self.mc_over_kernel(&entry, dim, eps, delta, "volume-budget")
+                }
+                // Too many DNF cells for inclusion–exclusion: the kernel
+                // still decides membership, so sample it.
+                Err(VolumeError::TooManyCells(_)) => {
+                    self.mc_over_kernel(&entry, dim, eps, delta, "volume-cells")
                 }
                 Err(e) => return Response::err("volume", e.to_string()),
             }
@@ -930,10 +968,7 @@ impl Engine {
         budget: &EvalBudget,
     ) -> Response {
         match answer {
-            Ok(Answer::Exact(v)) => Response::ok(format!(
-                "{verb} {name} status=exact value={v} cache={cache_tag} steps={}",
-                budget.steps()
-            )),
+            Ok(Answer::Exact(v)) => exact_response(verb, name, &v, cache_tag, budget.steps()),
             Ok(Answer::Approx {
                 estimate,
                 eps,
@@ -1062,10 +1097,7 @@ impl Engine {
             eps,
             delta,
             samples,
-            reason: match reason {
-                "budget" => "volume-budget",
-                r => r,
-            },
+            reason,
         })
     }
 
@@ -1129,7 +1161,7 @@ impl Engine {
         ));
         resp.body.push(format!(
             "cache entries={} bytes={} budget_bytes={} shards={} hits={} misses={} \
-             hit_rate={:.3} evictions={} poison_recoveries={}",
+             hit_rate={:.3} evictions={} poison_recoveries={} memo_hits={}",
             cache.entries,
             cache.bytes,
             cache.byte_budget,
@@ -1139,6 +1171,7 @@ impl Engine {
             cache.hit_rate(),
             cache.evictions,
             cache.poison_recoveries,
+            EngineStats::get(&s.memo_hits),
         ));
         resp.body.push(format!(
             "over_budget={} lint_rejected={} rejected_conns={} degraded={} write_errors={} \
@@ -1580,10 +1613,21 @@ sum EndpointSum(w) := true | END[y. S(y)] ; xout . xout = w
                 delta: None,
             },
         );
+        // The second EXEC answers from the slot's memoized integration.
+        e.dispatch(
+            &mut s,
+            Command::Exec {
+                name: "q".into(),
+                eps: None,
+                delta: None,
+            },
+        );
         let r = e.render_stats();
         assert!(r.is_ok());
         let body = r.body.join("\n");
         assert!(body.contains("cache entries=1"), "{body}");
+        assert!(body.contains("memo_hits=1"), "{body}");
+        assert_eq!(EngineStats::get(&e.stats.memo_hits), 1);
         assert!(body.contains("latency EXEC"), "{body}");
         assert!(body.contains("ir nodes="), "{body}");
         assert!(body.contains("kernel fast_lanes="), "{body}");
@@ -1591,5 +1635,98 @@ sum EndpointSum(w) := true | END[y. S(y)] ; xout . xout = w
         // was flushed into the engine-wide aggregates.
         assert!(EngineStats::get(&e.stats.ir_nodes) > 0);
         assert!(EngineStats::get(&e.stats.ir_intern_calls) >= EngineStats::get(&e.stats.ir_nodes));
+    }
+
+    #[test]
+    fn too_many_cells_degrades_to_monte_carlo() {
+        // 20 disjoint intervals: one DNF cell each, at the integrator's
+        // inclusion–exclusion limit. VOL_I = 20/41.
+        let union = (0..20)
+            .map(|i| format!("({}/41 <= x & x <= {}/41)", 2 * i, 2 * i + 1))
+            .collect::<Vec<_>>()
+            .join(" | ");
+        let e = engine();
+        let mut s = e.open_session();
+        for tag in ["miss", "hit"] {
+            let r = e.volume(&mut s, &union);
+            assert!(r.is_ok(), "{r:?}");
+            assert!(r.header.contains("status=approx"), "{r:?}");
+            assert!(r.header.contains("reason=volume-cells"), "{r:?}");
+            assert!(r.header.contains(&format!("cache={tag}")), "{r:?}");
+            let val = r.header.split("value=").nth(1).unwrap();
+            let val = val.split_whitespace().next().unwrap();
+            let x = val.parse::<Rat>().unwrap().to_f64();
+            assert!((x - 20.0 / 41.0).abs() <= 0.05, "estimate {x} off");
+        }
+        assert_eq!(EngineStats::get(&e.stats.degraded), 2);
+        assert_eq!(EngineStats::get(&e.stats.memo_hits), 0, "never memoized");
+    }
+
+    #[test]
+    fn session_memo_resets_leave_responses_bit_identical() {
+        let mut cmds = vec![Command::Load {
+            program: Some(PROGRAM.into()),
+        }];
+        let queries = [
+            "S(x) & x <= 1",
+            "exists y. x < y & y < 1/2",
+            "(exists u, v. x < u & u < v & v < x + 1/2) & 0 <= x & x <= 1",
+            "x*x + y*y <= 1",
+            "0 <= x & x <= 1/3 & x <= y & y <= 1",
+        ];
+        for (i, q) in queries.iter().enumerate() {
+            cmds.push(Command::Prepare {
+                name: format!("q{i}"),
+                query: q.to_string(),
+            });
+        }
+        for round in 0..3 {
+            for i in 0..queries.len() {
+                cmds.push(Command::Exec {
+                    name: format!("q{i}"),
+                    eps: None,
+                    delta: None,
+                });
+                cmds.push(Command::Volume {
+                    query: format!("0 <= x & x <= {}/{}", i + 1, round + 7),
+                });
+            }
+        }
+        let run = |reset_every: Option<usize>| {
+            let e = engine();
+            let mut s = e.open_session();
+            let mut out = Vec::new();
+            for (n, cmd) in cmds.iter().enumerate() {
+                out.push(e.dispatch(&mut s, cmd.clone()));
+                if reset_every.is_some_and(|k| n % k == k - 1) {
+                    e.reset_session_memos(&mut s);
+                }
+            }
+            out
+        };
+        let plain = run(None);
+        for k in [1, 2, 5] {
+            assert_eq!(run(Some(k)), plain, "reset every {k} commands");
+        }
+    }
+
+    #[test]
+    fn session_arena_stays_bounded_over_distinct_volumes() {
+        let e = engine();
+        let mut s = e.open_session();
+        let mut peak = 0;
+        for i in 0..10_000u32 {
+            let r = e.dispatch(
+                &mut s,
+                Command::Volume {
+                    query: format!("{i}/20011 <= x & x <= {}/20011", i + 7),
+                },
+            );
+            assert!(r.header.contains("status=exact"), "{r:?}");
+            peak = peak.max(s.arena.stats().nodes);
+        }
+        assert!(peak <= SESSION_MEMO_NODES, "arena peaked at {peak} nodes");
+        // Every node interned still reached the engine-wide counters.
+        assert!(EngineStats::get(&e.stats.ir_nodes) > 10_000);
     }
 }

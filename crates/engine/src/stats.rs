@@ -98,6 +98,9 @@ pub struct EngineStats {
     pub worker_panics: AtomicU64,
     /// Answers that degraded from exact to (ε, δ) Monte Carlo.
     pub degraded: AtomicU64,
+    /// Exact answers served from a cache slot's memoized integration
+    /// instead of re-running the integrator.
+    pub memo_hits: AtomicU64,
     /// Distinct formula nodes resident across all session IR arenas
     /// (arena occupancy; sessions report deltas after each command).
     pub ir_nodes: AtomicU64,

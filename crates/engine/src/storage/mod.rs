@@ -268,10 +268,13 @@ impl Storage {
     /// Writes the current cache contents to the warm-start file via
     /// tmp+rename, best-effort: flush failures are counted, never fatal —
     /// a stale (or missing) warm file only costs the next boot some QE.
+    /// Each slot's record is rendered once and memoized in the slot, so a
+    /// flush renders only the slots inserted since the last one; the text
+    /// is byte-identical to `warm::encode(&cache.export())`.
     pub fn flush_warm(&self, cache: &QueryCache) {
         let path = self.dir.join(WARM_FILE);
         let tmp = path.with_extension("warm.tmp");
-        let text = warm::encode(&cache.export());
+        let text = warm::encode_records(&cache.export_records(warm::encode_slot));
         let ok = std::fs::write(&tmp, text.as_bytes())
             .and_then(|()| std::fs::rename(&tmp, &path))
             .is_ok();
@@ -378,6 +381,63 @@ mod tests {
             Err(StorageError::Corrupt { .. }) => {}
             other => panic!("expected Corrupt, got {:?}", other.map(|_| ())),
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn render_once_flush_matches_a_full_encode() {
+        use crate::cache::{formula_bytes, CacheEntry, CacheKey, SubplanEntry};
+        use cqa_logic::{parse_formula, CompiledMatrix, SlotMap};
+        let query = |src: &str| {
+            let (qf, _) = parse_formula(src).unwrap();
+            let qf_vars: Vec<_> = qf.free_vars().into_iter().collect();
+            let kernel = CompiledMatrix::compile(&qf, &SlotMap::from_vars(&qf_vars)).unwrap();
+            CacheEntry {
+                class: qf.class(),
+                fragment: "FO+LIN",
+                bytes: formula_bytes(&qf) + 64 * kernel.atom_count(),
+                qf,
+                qf_vars,
+                kernel,
+                mc_box: Some(vec![(0.0, 0.5)]),
+            }
+        };
+        let subplan = |src: &str| {
+            let (qf, _) = parse_formula(src).unwrap();
+            SubplanEntry {
+                params: qf.free_vars().into_iter().collect(),
+                bytes: formula_bytes(&qf),
+                qf,
+            }
+        };
+        let key = |hash: u128| CacheKey { hash, dim: 1 };
+        let dir = tmpdir("render-once");
+        let s = Storage::open(&dir, 64).unwrap();
+        // One lock domain with room for a handful of entries, so the later
+        // inserts evict.
+        let cache = QueryCache::with_shards(6 * query("x <= 1/2").bytes, 1);
+        let check = |cache: &QueryCache| {
+            s.flush_warm(cache);
+            let written = std::fs::read_to_string(dir.join(WARM_FILE)).unwrap();
+            assert_eq!(written, warm::encode(&cache.export()));
+        };
+        for h in 1..=3 {
+            cache.insert(key(h), query(&format!("x <= {h}/7")));
+            cache.insert_subplan(key(h), subplan(&format!("x < {h}/9")));
+            check(&cache);
+        }
+        // Replacements: same keys, different formulas.
+        cache.insert(key(2), query("x >= 1/3"));
+        cache.insert_subplan(key(3), subplan("x > 2/9"));
+        check(&cache);
+        // Evictions: keep inserting past the budget.
+        let before = cache.snapshot().evictions;
+        for h in 10..20 {
+            cache.insert(key(h), query(&format!("x <= 1/{h}")));
+            check(&cache);
+        }
+        assert!(cache.snapshot().evictions > before, "the sweep must evict");
+        assert_eq!(s.stats().warm_errors.load(Ordering::Relaxed), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

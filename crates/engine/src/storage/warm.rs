@@ -107,38 +107,53 @@ fn parse_box(tok: &str) -> Option<Option<Vec<(f64, f64)>>> {
 /// Serializes the cache export to the warm-file text (checksum line
 /// included). Deterministic: the export is sorted by the caller.
 pub fn encode(slots: &[WarmSlot]) -> String {
+    let records: Vec<String> = slots.iter().map(encode_slot).collect();
+    encode_records(&records)
+}
+
+/// One slot's record: its header line and its formula line. A record
+/// depends on the slot alone, so the cache memoizes it per slot and a
+/// flush only concatenates (see [`crate::QueryCache`]).
+pub(crate) fn encode_slot(slot: &WarmSlot) -> String {
     // Synthetic, position-stable names for every variable index: the
     // empty map's fallback naming (`x{index}`) is injective, so the
     // printed formula and the params token agree on names.
     let names = VarMap::new();
+    let (mut out, qf) = match slot {
+        WarmSlot::Query(key, e) => (
+            format!(
+                "Q {:032x} {} {} {} {} {}\n",
+                key.hash,
+                key.dim,
+                class_token(e.class),
+                e.fragment,
+                params_token(&e.qf_vars, &names),
+                box_token(&e.mc_box),
+            ),
+            &e.qf,
+        ),
+        WarmSlot::Subplan(key, e) => (
+            format!(
+                "S {:032x} {} {}\n",
+                key.hash,
+                key.dim,
+                params_token(&e.params, &names),
+            ),
+            &e.qf,
+        ),
+    };
+    out.push_str(&cqa_logic::display_formula(qf, &names));
+    out.push('\n');
+    out
+}
+
+/// The warm-file text of `records` (each from [`encode_slot`], in export
+/// order): magic line, the records, checksum trailer.
+pub(crate) fn encode_records<R: AsRef<str>>(records: &[R]) -> String {
     let mut out = String::from(MAGIC);
     out.push('\n');
-    for slot in slots {
-        match slot {
-            WarmSlot::Query(key, e) => {
-                out.push_str(&format!(
-                    "Q {:032x} {} {} {} {} {}\n",
-                    key.hash,
-                    key.dim,
-                    class_token(e.class),
-                    e.fragment,
-                    params_token(&e.qf_vars, &names),
-                    box_token(&e.mc_box),
-                ));
-                out.push_str(&cqa_logic::display_formula(&e.qf, &names));
-                out.push('\n');
-            }
-            WarmSlot::Subplan(key, e) => {
-                out.push_str(&format!(
-                    "S {:032x} {} {}\n",
-                    key.hash,
-                    key.dim,
-                    params_token(&e.params, &names),
-                ));
-                out.push_str(&cqa_logic::display_formula(&e.qf, &names));
-                out.push('\n');
-            }
-        }
+    for r in records {
+        out.push_str(r.as_ref());
     }
     let sum = checksum64(out.as_bytes());
     out.push_str(&format!("#sum {sum:016x}\n"));

@@ -69,6 +69,24 @@ run_capped ./target/release/report e20
 echo "== E21 smoke (serving layer; >= 2x reactor-throughput floor + bit-identity asserted inside) =="
 run_capped ./target/release/report e21
 
+echo "== benchmark coupling (perfbench builds, tests, and replays bit-identically) =="
+# perfbench/ is a package of its own that calls the engine's public API
+# and mirrors Engine::answer layer by layer; a traced run fails unless
+# every engine response equals the wire's and the mirror's byte for byte.
+run_capped cargo build --release --offline --quiet --manifest-path perfbench/Cargo.toml
+run_capped cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+for workload in warm_exact warm_pipelined cold_query durable_churn; do
+  BENCH_LOG="$(run_capped ./perfbench/target/release/cqa-perfbench \
+    --workload "$workload" --seed 1 --seconds 2 --trace 1)"
+  if ! grep -q '"correct": true' <<< "$BENCH_LOG" \
+    || ! grep -q '^# replay: 0 responses differ' <<< "$BENCH_LOG"; then
+    grep '^#' <<< "$BENCH_LOG" >&2
+    echo "perfbench --trace 1 failed on $workload" >&2
+    exit 1
+  fi
+  echo "$workload: correct, 0 replay mismatches"
+done
+
 echo "== static analysis demos =="
 cargo run -q --offline -p cqa-bench --bin cqa-lint -- \
   --max-atoms inf --max-quantifiers inf examples/lint/endpoints.cqa
